@@ -39,11 +39,8 @@ func init() {
 // hybrid* baseline, so the delta shows how much of CHERI's cost the
 // microarchitectural change removes.
 func ablate(s *Session, names []string, configure func(*core.Config)) (string, error) {
-	mod := NewSession(s.Scale)
-	mod.Configure = configure
-	mod.Jobs = s.Jobs
-	mod.Store = s.Store // the Configure hook is part of the store key
-	mod.NoReplay = s.NoReplay
+	mod := s.derive()
+	mod.Configure = configure // the Configure hook is part of the store key
 	// Fan the modified-configuration runs out across the worker pool before
 	// the serial render below (the base session's pairs are declared via
 	// ablationPairs, so a campaign prefetch has already covered them).

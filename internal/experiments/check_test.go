@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"cherisim/internal/abi"
+	"cherisim/internal/core"
 )
 
 // TestFig1UnderCheckHasNoDivergences runs a full figure-1 regeneration with
@@ -72,5 +75,41 @@ func TestMulticoreUnderCheckSharesShadows(t *testing.T) {
 			t.Errorf("divergence: %s", d)
 		}
 		t.Fatalf("ext-multicore under -check: %d divergences in %d operations", rep.Divergences, rep.Accesses)
+	}
+}
+
+// TestAblationRunsCheckedAndCounted: an ablation's modified-configuration
+// runs belong to the parent session. The lockstep checker shadows them and
+// Executions counts them, on top of the base runs the prefetch covered.
+func TestAblationRunsCheckedAndCounted(t *testing.T) {
+	e, err := ByID("ablation-predictor")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The checked operations of the modified-config purecap runs alone.
+	ref := NewSession(1)
+	ref.Check = true
+	ref.Configure = func(c *core.Config) { c.TracksPCCBounds = true }
+	ref.Prefetch(namedPairs(ablationSet, abi.Purecap))
+	want := ref.CheckReport().Accesses
+	ref.CloseCheck()
+
+	s := NewSession(1)
+	s.Check = true
+	defer s.CloseCheck()
+	s.Prefetch(e.Pairs())
+	execs, accesses := s.Executions(), s.CheckReport().Accesses
+	if _, err := e.Run(s); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.Executions()-execs, uint64(len(ablationSet)); got != want {
+		t.Errorf("rendering the ablation added %d executions, want %d (one modified-config purecap run per workload)", got, want)
+	}
+	rep := s.CheckReport()
+	if got := rep.Accesses - accesses; got < want {
+		t.Errorf("rendering the ablation added %d checked operations, want at least the %d of its modified-config runs", got, want)
+	}
+	if rep.Divergences != 0 {
+		t.Errorf("ablation under -check: %d divergences: %v", rep.Divergences, rep.First)
 	}
 }

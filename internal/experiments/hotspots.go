@@ -19,9 +19,8 @@ import (
 // sibling of Session.Run — singleflighted, pool-bounded, persisted under
 // its own store kind — and the "hotspots" experiment renders the
 // differential ABI hotspot report over the paper's top-down workload set.
-// Profiled runs always execute live: the replay fast path retires µops
-// without visiting the interpreter's function stack, and DisableProfile is
-// exactly the switch this path leaves on.
+// Profiled runs execute exactly as Session.Run's do, except that they leave
+// attribution on: DisableProfile is the one switch this path does not set.
 
 // hotspotTopN bounds the rendered rows per workload; the full profile is
 // still computed, exported (flamegraph/pprof) and stored.
@@ -122,27 +121,13 @@ func (s *Session) profileRun(w *workloads.Workload, a abi.ABI, key runKey, sem c
 	return &prof, nil
 }
 
-// profileOnce performs one live profiled execution: the session's
-// supervision and lockstep hooks, but no replay and — crucially — no
-// DisableProfile, so the interpreter attributes every µop to the function
-// executing it.
+// profileOnce performs one profiled execution: the session's supervision
+// and lockstep hooks, but no DisableProfile, so the interpreter attributes
+// every µop to the function executing it.
 func (s *Session) profileOnce(w *workloads.Workload, a abi.ABI, obs *runObserver) (*core.Machine, error) {
 	s.execs.Add(1)
-	cfg := s.effectiveConfig(a)
-	var setup func(*core.Machine)
-	if s.Chaos != nil || s.DeadlineUops > 0 {
-		_, setup = s.supervisedSetup(w, a, 0, obs, nil)
-	}
-	if col := s.checkCollector(); col != nil {
-		inner := setup
-		setup = func(m *core.Machine) {
-			col.AttachMachine(m)
-			if inner != nil {
-				inner(m)
-			}
-		}
-	}
-	return workloads.ExecuteHooked(w, cfg, s.Scale, setup)
+	_, setup := s.runSetup(w, a, 0, obs, nil)
+	return workloads.ExecuteHooked(w, s.effectiveConfig(a), s.Scale, setup)
 }
 
 // HotspotProfiles profiles the paper's top-down workload set (Table 4)

@@ -8,7 +8,6 @@ import (
 	"cherisim/internal/abi"
 	"cherisim/internal/core"
 	"cherisim/internal/faultinject"
-	"cherisim/internal/replay"
 	"cherisim/internal/telemetry"
 	"cherisim/internal/workloads"
 )
@@ -33,9 +32,6 @@ type runObserver struct {
 	storeHits     *telemetry.Counter
 	storeMisses   *telemetry.Counter
 	storeWriteErr *telemetry.Counter
-	replayRecords *telemetry.Counter
-	replayBlocks  *telemetry.Counter
-	replayUops    *telemetry.Counter
 	profileRuns   *telemetry.Counter
 	profileFns    *telemetry.Counter
 	profileUops   *telemetry.Counter
@@ -67,9 +63,6 @@ func newRunObserver(hub *telemetry.Hub) *runObserver {
 		storeHits:     m.Counter("store_hits"),
 		storeMisses:   m.Counter("store_misses"),
 		storeWriteErr: m.Counter("store_write_errors"),
-		replayRecords: m.Counter("replay_records"),
-		replayBlocks:  m.Counter("replay_blocks"),
-		replayUops:    m.Counter("replay_fastpath_uops"),
 		profileRuns:   m.Counter("profile_runs"),
 		profileFns:    m.Counter("profile_functions"),
 		profileUops:   m.Counter("profile_uops_attributed"),
@@ -118,24 +111,6 @@ func (o *runObserver) storeWriteError() {
 	if o != nil {
 		o.storeWriteErr.Inc()
 	}
-}
-
-// recorded counts one event stream captured for the replay fast path.
-func (o *runObserver) recorded(t *replay.Trace) {
-	if o != nil {
-		o.replayRecords.Inc()
-		o.replayBlocks.Add(int64(t.Blocks()))
-	}
-}
-
-// replayed marks an attempt served from a recorded event stream and counts
-// the µops the fast path retired without interpreting the kernel.
-func (o *runObserver) replayed(att *telemetry.Span, t *replay.Trace) {
-	if o == nil {
-		return
-	}
-	o.replayUops.Add(int64(t.Uops))
-	att.Attr("replayed", true)
 }
 
 // profiled counts one attribution profile captured (live or store-served)

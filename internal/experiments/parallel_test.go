@@ -161,3 +161,20 @@ func TestUnionPairsDeduplicates(t *testing.T) {
 		t.Fatalf("union has %d pairs, want at least the %d-pair campaign grid", len(union), want)
 	}
 }
+
+// TestDerivedSessionSharesFleet: a derived sub-session draws from its
+// parent's worker fleet, so a session handed a shared fleet (the campaign
+// service's) cannot escape it through an ablation or a sweep.
+func TestDerivedSessionSharesFleet(t *testing.T) {
+	fleet := NewFleet(2)
+	s := NewSession(1)
+	s.Jobs = 8
+	s.SharePool(fleet)
+	sub := s.derive()
+	sub.mu.Lock()
+	got := sub.pool()
+	sub.mu.Unlock()
+	if got != fleet {
+		t.Fatalf("derived session built its own %d-slot pool instead of the parent's fleet", cap(got))
+	}
+}

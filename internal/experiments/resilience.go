@@ -95,15 +95,11 @@ func runResilience(s *Session) (string, error) {
 	for _, rate := range resilienceRates {
 		sub := s
 		if rate > 0 || s.Chaos != nil {
-			sub = NewSession(s.Scale)
-			sub.Jobs = s.Jobs
+			sub = s.derive()
 			sub.Configure = s.Configure
 			sub.DeadlineUops = s.DeadlineUops
 			sub.Retries = retries
-			sub.Store = s.Store // chaos schedule is part of the store key
-			sub.NoReplay = s.NoReplay
-			sub.shareTelemetryWith(s)
-			if rate > 0 {
+			if rate > 0 { // the chaos schedule is part of the store key
 				sub.Chaos = &faultinject.Config{Seed: seed, RatePerMUops: rate, Kinds: kinds}
 			}
 		}

@@ -114,14 +114,6 @@ type Session struct {
 	// violations, deadlines and panics are never retried.
 	Retries int
 
-	// NoReplay opts this session out of the record-and-replay fast path
-	// (see internal/replay): every run executes its kernel live. Supervised
-	// sessions (Chaos, DeadlineUops, Check) are always on the live path
-	// regardless — fault injection and lockstep shadowing must observe
-	// every event. The -no-replay flag disables the fast path globally via
-	// SetReplayEnabled instead.
-	NoReplay bool
-
 	// Attacks, when non-empty, restricts the security experiment to the
 	// named attack-corpus entries (see internal/attacks). Other
 	// experiments ignore it.
@@ -166,7 +158,7 @@ type Session struct {
 	sem      chan int               // worker-ID pool: receiving acquires a slot + identity
 	obs      *runObserver
 	checkCol *check.Collector
-	execs    atomic.Uint64 // machine executions (simulated or replayed), not store hits
+	execs    *atomic.Uint64 // machine executions, not store hits; shared with derived sub-sessions
 }
 
 // NewSession creates a measurement session at the given workload scale.
@@ -174,7 +166,7 @@ func NewSession(scale int) *Session {
 	if scale < 1 {
 		scale = 1
 	}
-	return &Session{Scale: scale, flight: make(map[runKey]*inflight)}
+	return &Session{Scale: scale, flight: make(map[runKey]*inflight), execs: new(atomic.Uint64)}
 }
 
 // pool returns the worker-pool semaphore, building it on first use. The
@@ -224,9 +216,9 @@ func (s *Session) SharePool(p chan int) {
 	s.sem = p
 }
 
-// Executions returns how many machine executions (live or replayed) the
-// session has performed — store-served runs do not count. A warm campaign
-// over a populated store reports 0.
+// Executions returns how many machine executions the session and its
+// derived sub-sessions (see derive) have performed — store-served runs do
+// not count. A warm campaign over a populated store reports 0.
 func (s *Session) Executions() uint64 { return s.execs.Load() }
 
 // observer returns the session's telemetry observer, building it on first
@@ -247,15 +239,26 @@ func (s *Session) campaignObserver() *runObserver {
 	return s.observer()
 }
 
-// shareTelemetryWith attaches s to parent's telemetry: same hub and same
-// observer, so the runs of a derived sub-session (the resilience sweep's
-// per-rate sessions) nest under the parent's campaign-root span and feed
-// one shared metric set instead of opening a second dangling root.
-func (s *Session) shareTelemetryWith(parent *Session) {
-	s.Telemetry = parent.Telemetry
-	s.obs = parent.campaignObserver()
-	s.Check = parent.Check
-	s.checkCol = parent.checkCollector()
+// derive returns a sub-session for an experiment that re-measures the
+// grid under its own machine configuration or supervision (the ablations,
+// the attack corpus, the resilience sweep); the caller sets those. The
+// sub-session shares the parent's scale, Jobs, store, telemetry observer,
+// lockstep collector, worker pool and execution counter, so its runs nest
+// under the parent's campaign-root span, are shadowed when the parent
+// checks, draw from the same worker fleet and count in Executions.
+func (s *Session) derive() *Session {
+	sub := NewSession(s.Scale)
+	sub.Jobs = s.Jobs
+	sub.Store = s.Store
+	sub.Telemetry = s.Telemetry
+	sub.Check = s.Check
+	sub.checkCol = s.checkCollector()
+	sub.execs = s.execs
+	s.mu.Lock()
+	sub.obs = s.observer()
+	sub.sem = s.pool()
+	s.mu.Unlock()
+	return sub
 }
 
 // checkCollector returns the session's lockstep collector, building it on
@@ -400,84 +403,18 @@ func (s *Session) execute(w *workloads.Workload, a abi.ABI, obs *runObserver, ru
 }
 
 // executeOnce performs one uncached workload run on a fresh machine,
-// installing the watchdog/injector quantum hook when the session is
-// configured for supervision.
+// installing the session's supervision and lockstep hooks (runSetup).
 func (s *Session) executeOnce(w *workloads.Workload, a abi.ABI, attempt int, obs *runObserver, att *telemetry.Span) *RunData {
 	s.execs.Add(1)
-	cfg := core.DefaultConfig(a)
-	if s.Configure != nil {
-		s.Configure(&cfg)
-	}
-	supervised := s.Chaos != nil || s.DeadlineUops > 0
-
-	// Record-and-replay fast path (internal/replay): unsupervised,
-	// uncheckered runs of non-Live workloads replay a previously recorded
-	// event stream for the same (workload, ABI, scale, heap-shaping) key — bit-identical
-	// counters without interpreting the kernel. Recording is demand-driven
-	// (see replay.Cache): a key's second miss proves the campaign
-	// re-requests it (ablation sessions re-measuring the grid under
-	// modified timing models), so that execution records its stream and
-	// every later request replays.
-	// Live workloads (the attack corpus) never record or replay: their
-	// kernels trap mid-run under some ABIs and their machines carry
-	// post-run state (the canary witness) that a replayed stream would
-	// not reproduce.
-	fast := s.replayEligible() && !supervised && !w.Live
-	var rkey replay.Key
-	var record bool
-	if fast {
-		var t *replay.Trace
-		rkey = replay.KeyFor(w.Name, s.Scale, &cfg)
-		if t, record = replayCache.Lookup(rkey); t != nil {
-			m := core.NewMachine(cfg)
-			m.DisableProfile()
-			if err := replay.Run(m, t); err == nil {
-				obs.replayed(att, t)
-				return runDataOf(m, nil, nil)
-			}
-			// A replay error means the trace cannot be trusted (it cannot
-			// legitimately happen: recorded runs were fault-free and
-			// deterministic). Demote the key to the live path.
-			replayCache.Drop(rkey)
-		}
-	}
-
-	var inj *faultinject.Injector
-	var setup func(*core.Machine)
-	if supervised {
-		inj, setup = s.supervisedSetup(w, a, attempt, obs, att)
-	}
-	if col := s.checkCollector(); col != nil {
-		inner := setup
-		setup = func(m *core.Machine) {
-			col.AttachMachine(m)
-			if inner != nil {
-				inner(m)
-			}
-		}
-	}
-	var rec *replay.Recorder
-	if record {
-		rec = replay.NewRecorder()
-	}
-	inner := setup
-	setup = func(m *core.Machine) {
+	inj, setup := s.runSetup(w, a, attempt, obs, att)
+	m, err := workloads.ExecuteHooked(w, s.effectiveConfig(a), s.Scale, func(m *core.Machine) {
 		// Nothing in the harness reads per-function profiles; skipping
 		// attribution changes no counter or metric (see DisableProfile).
 		m.DisableProfile()
-		if rec != nil {
-			m.SetReplaySink(rec)
+		if setup != nil {
+			setup(m)
 		}
-		if inner != nil {
-			inner(m)
-		}
-	}
-	m, err := workloads.ExecuteHooked(w, cfg, s.Scale, setup)
-	if rec != nil && err == nil && m != nil {
-		if t := rec.Finish(m.Uops()); replayCache.Put(rkey, t) {
-			obs.recorded(t)
-		}
-	}
+	})
 	var injected []faultinject.Event
 	if inj != nil {
 		injected = inj.Events()
@@ -490,12 +427,21 @@ func (s *Session) executeOnce(w *workloads.Workload, a abi.ABI, attempt int, obs
 	return d
 }
 
-// supervisedSetup builds one attempt's supervision: the deterministic fault
-// injector (when the session runs chaos) and the quantum hook that drives
-// the watchdog and the injector. Shared by the measurement path
-// (executeOnce) and the profiled path (profileOnce), so both observe the
-// same fault schedule for the same (workload, ABI, attempt) cell.
-func (s *Session) supervisedSetup(w *workloads.Workload, a abi.ABI, attempt int, obs *runObserver, att *telemetry.Span) (*faultinject.Injector, func(*core.Machine)) {
+// runSetup builds one attempt's machine hook: the lockstep checker when the
+// session checks, then — under chaos or a watchdog deadline — the quantum
+// hook that drives the watchdog and the deterministic fault injector, which
+// it also returns. Shared by the measurement path (executeOnce) and the
+// profiled path (profileOnce), so both observe the same fault schedule for
+// the same (workload, ABI, attempt) cell. The hook is nil when there is
+// nothing to install.
+func (s *Session) runSetup(w *workloads.Workload, a abi.ABI, attempt int, obs *runObserver, att *telemetry.Span) (*faultinject.Injector, func(*core.Machine)) {
+	col := s.checkCollector()
+	if s.Chaos == nil && s.DeadlineUops == 0 {
+		if col == nil {
+			return nil, nil
+		}
+		return nil, col.AttachMachine
+	}
 	var inj *faultinject.Injector
 	if s.Chaos != nil {
 		c := *s.Chaos
@@ -505,6 +451,9 @@ func (s *Session) supervisedSetup(w *workloads.Workload, a abi.ABI, attempt int,
 	}
 	deadline := s.DeadlineUops
 	setup := func(m *core.Machine) {
+		if col != nil {
+			col.AttachMachine(m)
+		}
 		quantum := uint64(faultinject.DefaultQuantum)
 		if inj != nil {
 			quantum = inj.Quantum()
@@ -523,8 +472,7 @@ func (s *Session) supervisedSetup(w *workloads.Workload, a abi.ABI, attempt int,
 	return inj, setup
 }
 
-// runDataOf assembles the retained outcome of one execution (live or
-// replayed).
+// runDataOf assembles the retained outcome of one execution.
 func runDataOf(m *core.Machine, err error, injected []faultinject.Event) *RunData {
 	d := &RunData{Err: err, Injected: injected}
 	if m != nil {
@@ -536,12 +484,6 @@ func runDataOf(m *core.Machine, err error, injected []faultinject.Event) *RunDat
 		d.hasMachine = true
 	}
 	return d
-}
-
-// replayEligible reports whether this session may use the record-and-replay
-// fast path at all (supervised runs are additionally excluded per call).
-func (s *Session) replayEligible() bool {
-	return !replayDisabled.Load() && !s.NoReplay && !s.Check
 }
 
 // Prefetch fans the given pairs out across the worker pool and blocks
@@ -632,3 +574,7 @@ func (s *Session) Overhead(w *workloads.Workload, a abi.ABI) float64 {
 	}
 	return s.Seconds(w, a) / hy
 }
+
+// ReplayStats always returns the zero value. It exists only for the frozen
+// host-cost benchmark harness (hostbench/), which still calls it.
+func ReplayStats() replay.Stats { return replay.Stats{} }

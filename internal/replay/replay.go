@@ -1,392 +1,10 @@
-// Package replay implements the simulator's record-and-replay fast path:
-// trace memoization for the core interpreter, after the technique CHERI
-// Performance Enhancement for a Bytecode Interpreter applies to Morello
-// interpreters (see PAPERS.md).
-//
-// A workload kernel is a deterministic closure over the execution-context
-// API of internal/core: the flat event stream it emits — loads/stores with
-// dependency and size, branches, calls/returns, alloc/free, µop batches —
-// is a pure function of (workload, ABI, scale, heap-shaping
-// configuration) and in particular is independent of the machine's
-// *timing* configuration (predictor, cache/TLB geometry, store-queue
-// penalty). A live execution of a key the campaign re-requests records
-// the stream into pre-lowered, arena-allocated block buffers; later
-// executions of the same key (ablation sessions re-measuring the grid
-// under modified timing models, repeated campaign sections) replay the
-// buffer onto a fresh machine, driving the same cache/TLB/predictor
-// probes to bit-identical counters without re-executing the kernel's own
-// Go computation, spatial checks or dead data reads.
-//
-// The in-memory representation is deliberately not an encoding: events
-// are stored pre-lowered, one fixed-width record per event, so the replay
-// loop is a linear walk with no decode step. Encode/DecodeTrace provide
-// the compact varint wire form (fuzzed for round-trip stability).
-//
-// Supervised runs — chaos fault injection, watchdog deadlines, lockstep
-// checking — never record or replay: those modes must observe (and
-// perturb) every live event.
+// Package replay exists only so the frozen host-cost benchmark harness
+// (hostbench/) still builds: it reads Stats through experiments.ReplayStats.
+// The simulator has no replay path, so every counter is always zero.
 package replay
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"cherisim/internal/core"
-)
-
-// event is one pre-lowered stream record: the opcode and its (up to
-// three) operands, fixed-width so a trace block replays with indexed
-// reads instead of decoding. 32 bytes.
-type event struct {
-	a, b, c uint64
-	op      core.ReplayOp
-}
-
-// eventBytes is the in-memory footprint of one event (the cache budget
-// accounts traces with it).
-const eventBytes = 32
-
-// eventsPerBlock is the arena granule: blocks are sealed when full, so a
-// trace costs O(events) memory with no large reallocation and the replay
-// loop walks contiguous 64KiB runs.
-const eventsPerBlock = 2048
-
-// nargs gives the number of meaningful operands per opcode (the wire
-// encoding writes exactly these; the rest are zero).
-var nargs = [core.NumReplayOps]uint8{
-	core.RopLoad:          3,
-	core.RopStore:         3,
-	core.RopLoadPtr:       1,
-	core.RopStorePtr:      2,
-	core.RopBranch:        1,
-	core.RopBranchAt:      2,
-	core.RopCall:          2,
-	core.RopCallVirtual:   1,
-	core.RopCallVirtualAt: 2,
-	core.RopReturn:        0,
-	core.RopALU:           1,
-	core.RopCapManip:      1,
-	core.RopCapCodegen:    1,
-	core.RopFP:            1,
-	core.RopSIMD:          1,
-	core.RopCrypto:        1,
-	core.RopAlloc:         1,
-	core.RopFree:          1,
-	core.RopFunc:          3,
-}
-
-// Trace is one recorded event stream. Immutable once built.
-type Trace struct {
-	blocks [][]event
-	names  []string // Func-name string table (RopFunc's c operand indexes it)
-
-	// Events counts recorded events; Uops the classified µops the recorded
-	// execution retired (the fast path serves them without interpretation).
-	Events uint64
-	Uops   uint64
-}
-
-// Blocks returns the number of arena blocks backing the trace.
-func (t *Trace) Blocks() int { return len(t.blocks) }
-
-// Bytes returns the in-memory size of the trace's event arena and name
-// table (the unit the cache budget is expressed in).
-func (t *Trace) Bytes() int {
-	n := int(t.Events) * eventBytes
-	for _, s := range t.names {
-		n += len(s)
-	}
-	return n
-}
-
-// Recorder accumulates a machine's event stream into a Trace. It
-// implements core.ReplaySink. Not safe for concurrent use (one machine
-// drives one recorder).
-type Recorder struct {
-	t       Trace
-	cur     []event
-	nameIdx map[string]uint64
-}
-
-// NewRecorder returns an empty recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Op appends one pre-lowered event (core.ReplaySink).
-func (r *Recorder) Op(op core.ReplayOp, a, b, c uint64) {
-	if len(r.cur) == cap(r.cur) {
-		if r.cur != nil {
-			r.t.blocks = append(r.t.blocks, r.cur)
-		}
-		r.cur = make([]event, 0, eventsPerBlock)
-	}
-	r.cur = append(r.cur, event{a, b, c, op})
-	r.t.Events++
-}
-
-// FuncOp interns name and appends the function-registration event
-// (core.ReplaySink).
-func (r *Recorder) FuncOp(name string, codeBytes, frameBytes uint64) {
-	if r.nameIdx == nil {
-		r.nameIdx = make(map[string]uint64)
-	}
-	idx, ok := r.nameIdx[name]
-	if !ok {
-		idx = uint64(len(r.t.names))
-		r.t.names = append(r.t.names, name)
-		r.nameIdx[name] = idx
-	}
-	r.Op(core.RopFunc, codeBytes, frameBytes, idx)
-}
-
-// Finish seals the recorder and returns the immutable trace. uops is the
-// recorded run's classified µop count (Machine.Uops after the run).
-func (r *Recorder) Finish(uops uint64) *Trace {
-	if r.cur != nil {
-		r.t.blocks = append(r.t.blocks, r.cur)
-		r.cur = nil
-	}
-	r.t.Uops = uops
-	return &r.t
-}
-
-// Decode iterates the trace's events in order, stopping at the first
-// error from fn. Tests and the wire encoder use it; Drive walks the
-// arena directly.
-func (t *Trace) Decode(fn func(op core.ReplayOp, a, b, c uint64) error) error {
-	for _, blk := range t.blocks {
-		for i := range blk {
-			e := &blk[i]
-			if err := fn(e.op, e.a, e.b, e.c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// exec applies one event to m. fns is the replay-side function table,
-// grown by RopFunc events in registration order.
-func exec(m *core.Machine, t *Trace, fns *[]*core.Fn, op core.ReplayOp, a, b, c uint64) error {
-	switch op {
-	case core.RopLoad:
-		m.ReplayLoad(a, b, c == 1)
-	case core.RopStore:
-		m.ReplayStore(a, b, c)
-	case core.RopLoadPtr:
-		m.ReplayLoadPtr(a)
-	case core.RopStorePtr:
-		m.ReplayStorePtr(a, b)
-	case core.RopBranch:
-		m.Branch(a == 1)
-	case core.RopBranchAt:
-		m.BranchAt(a, b == 1)
-	case core.RopCall:
-		if a >= uint64(len(*fns)) {
-			return fmt.Errorf("replay: call to unregistered fn %d", a)
-		}
-		m.Call((*fns)[a], b == 1)
-	case core.RopCallVirtual:
-		if a >= uint64(len(*fns)) {
-			return fmt.Errorf("replay: virtual call to unregistered fn %d", a)
-		}
-		m.CallVirtual((*fns)[a])
-	case core.RopCallVirtualAt:
-		if b >= uint64(len(*fns)) {
-			return fmt.Errorf("replay: virtual call to unregistered fn %d", b)
-		}
-		m.CallVirtualAt(a, (*fns)[b])
-	case core.RopReturn:
-		m.Return()
-	case core.RopALU:
-		m.ALU(a)
-	case core.RopCapManip:
-		m.CapManip(a)
-	case core.RopCapCodegen:
-		m.CapCodegen(a)
-	case core.RopFP:
-		m.FP(a)
-	case core.RopSIMD:
-		m.SIMD(a)
-	case core.RopCrypto:
-		m.Crypto(a)
-	case core.RopAlloc:
-		m.Alloc(a)
-	case core.RopFree:
-		m.Free(core.Ptr(a))
-	case core.RopFunc:
-		if c >= uint64(len(t.names)) {
-			return fmt.Errorf("replay: fn name index %d out of table", c)
-		}
-		*fns = append(*fns, m.Func(t.names[c], a, b))
-	default:
-		return fmt.Errorf("replay: bad opcode %d", op)
-	}
-	return nil
-}
-
-// Drive replays every event of t onto m. The machine must be fresh (same
-// configuration key as the recording); counters are NOT finalized — use
-// Run for a supervised, finalized replay. Allocation-free per event for
-// traces without Func/Alloc events.
-func Drive(m *core.Machine, t *Trace) error {
-	var fns []*core.Fn
-	if n := len(t.names); n > 0 {
-		fns = make([]*core.Fn, 0, n)
-	}
-	for _, blk := range t.blocks {
-		for i := range blk {
-			e := &blk[i]
-			if err := exec(m, t, &fns, e.op, e.a, e.b, e.c); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Run replays t onto the fresh machine m under Machine.Run supervision,
-// so faults are contained and counters finalize exactly as on a live
-// execution. A non-nil error means the replay must not be trusted (the
-// caller should fall back to live execution and drop the trace).
-func Run(m *core.Machine, t *Trace) error {
-	var derr error
-	if err := m.Run(func(m *core.Machine) { derr = Drive(m, t) }); err != nil {
-		return err
-	}
-	return derr
-}
-
-// Wire form: "CRT1" magic, uvarint name count, names (uvarint length +
-// bytes), uvarint µop count, uvarint event count, then per event one
-// opcode byte followed by nargs[op] uvarint operands.
-
-// wireMagic heads the encoded form; the trailing digit is the format
-// version.
-const wireMagic = "CRT1"
-
-// Encode renders the trace in its compact wire form.
-func (t *Trace) Encode() []byte {
-	buf := make([]byte, 0, len(wireMagic)+int(t.Events)*5)
-	buf = append(buf, wireMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(t.names)))
-	for _, s := range t.names {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = binary.AppendUvarint(buf, t.Uops)
-	buf = binary.AppendUvarint(buf, t.Events)
-	t.Decode(func(op core.ReplayOp, a, b, c uint64) error {
-		buf = append(buf, byte(op))
-		switch nargs[op] {
-		case 3:
-			buf = binary.AppendUvarint(buf, a)
-			buf = binary.AppendUvarint(buf, b)
-			buf = binary.AppendUvarint(buf, c)
-		case 2:
-			buf = binary.AppendUvarint(buf, a)
-			buf = binary.AppendUvarint(buf, b)
-		case 1:
-			buf = binary.AppendUvarint(buf, a)
-		}
-		return nil
-	})
-	return buf
-}
-
-// wireReader decodes the varint wire form with bounds checking.
-type wireReader struct {
-	buf []byte
-	off int
-}
-
-func (r *wireReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("replay: truncated varint at offset %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-// DecodeTrace parses the wire form produced by Encode. Structural
-// corruption — bad magic, unknown opcodes, truncated operands,
-// out-of-range string lengths — is an error; operand *values* are not
-// validated here (Drive bounds-checks table indexes at replay time).
-func DecodeTrace(data []byte) (*Trace, error) {
-	if len(data) < len(wireMagic) || string(data[:len(wireMagic)]) != wireMagic {
-		return nil, fmt.Errorf("replay: bad trace magic")
-	}
-	r := &wireReader{buf: data, off: len(wireMagic)}
-	nNames, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nNames > uint64(len(data)) {
-		return nil, fmt.Errorf("replay: name count %d exceeds input", nNames)
-	}
-	rec := NewRecorder()
-	names := make([]string, 0, nNames)
-	for i := uint64(0); i < nNames; i++ {
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if n > uint64(len(data)-r.off) {
-			return nil, fmt.Errorf("replay: name length %d exceeds input", n)
-		}
-		names = append(names, string(r.buf[r.off:r.off+int(n)]))
-		r.off += int(n)
-	}
-	uops, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	nEvents, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nEvents > uint64(len(data)-r.off) {
-		return nil, fmt.Errorf("replay: event count %d exceeds input", nEvents)
-	}
-	for i := uint64(0); i < nEvents; i++ {
-		if r.off >= len(r.buf) {
-			return nil, fmt.Errorf("replay: truncated event stream at %d of %d", i, nEvents)
-		}
-		op := core.ReplayOp(r.buf[r.off])
-		r.off++
-		if op >= core.NumReplayOps {
-			return nil, fmt.Errorf("replay: bad opcode %d at offset %d", op, r.off-1)
-		}
-		var a, b, c uint64
-		switch n := nargs[op]; {
-		case n > 2:
-			if a, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-			if b, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-			if c, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-		case n > 1:
-			if a, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-			if b, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-		case n > 0:
-			if a, err = r.uvarint(); err != nil {
-				return nil, err
-			}
-		}
-		if op == core.RopFunc && c >= uint64(len(names)) {
-			return nil, fmt.Errorf("replay: fn name index %d out of table", c)
-		}
-		rec.Op(op, a, b, c)
-	}
-	t := rec.Finish(uops)
-	t.names = names
-	return t, nil
+// Stats holds the counters hostbench reads; they are always zero.
+type Stats struct {
+	Bytes        uint64
+	FastpathUops uint64
 }
