@@ -225,6 +225,28 @@ func BenchmarkMachineLoadStore(b *testing.B) {
 	}
 }
 
+// BenchmarkMachineCapLoadStore measures the purecap pointer path: a
+// capability store (bounds derived from the target's allocation, tag set)
+// and the tagged capability load back.
+func BenchmarkMachineCapLoadStore(b *testing.B) {
+	m := core.New(abi.Purecap)
+	m.Func("bench", 512, 64)
+	err := m.Run(func(m *core.Machine) {
+		p := m.Alloc(1 << 20)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			slot := p + core.Ptr(uint64(i*16)%(1<<20))
+			m.StorePtr(slot, p)
+			if m.LoadPtr(slot) != p {
+				b.Fatal("capability round trip corrupted")
+			}
+		}
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkWorkloadOmnetppPurecap measures one full workload execution per
 // iteration — the simulator's end-to-end throughput.
 func BenchmarkWorkloadOmnetppPurecap(b *testing.B) {

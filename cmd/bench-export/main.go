@@ -290,15 +290,34 @@ func substrate() []bench {
 				b.Fatal(err)
 			}
 		}},
+		{"MachineCapLoadStore", func(b *testing.B) {
+			b.ReportAllocs()
+			m := core.New(abi.Purecap)
+			m.Func("bench", 512, 64)
+			err := m.Run(func(m *core.Machine) {
+				p := m.Alloc(1 << 20)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					slot := p + core.Ptr(uint64(i*16)%(1<<20))
+					m.StorePtr(slot, p)
+					if m.LoadPtr(slot) != p {
+						b.Fatal("capability round trip corrupted")
+					}
+				}
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}},
 	}
 }
 
 // guarded names the benchmarks the -compare gate enforces: the
-// simulator's end-to-end hot paths (live interpretation and the cached
-// session run). The component micro-benchmarks are
-// exported for trend tracking but not gated — they are too small to
-// measure stably on shared CI runners.
-var guarded = []string{"MachineLoadStore", "SessionTelemetryOff"}
+// simulator's end-to-end hot paths (live interpretation of data and
+// capability accesses, and the cached session run). The component
+// micro-benchmarks are exported for trend tracking but not gated — they
+// are too small to measure stably on shared CI runners.
+var guarded = []string{"MachineLoadStore", "MachineCapLoadStore", "SessionTelemetryOff"}
 
 // compareMain re-measures the guarded benchmarks and gates them against
 // the committed snapshot at path: ns/op may not regress beyond tol

@@ -15,6 +15,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cherisim/internal/abi"
@@ -51,16 +52,16 @@ type Heap struct {
 
 	// free lists keyed by rounded size class.
 	free map[uint64][]uint64
-	// live maps allocation base -> usable (rounded) size.
-	live map[uint64]uint64
-	// sorted is the ordered index of live allocation bases, maintained
-	// incrementally so Owner lookups are O(log n).
-	sorted []uint64
+	// live holds every live allocation as (base, usable size), sorted by
+	// base and maintained incrementally, so every lookup is one binary
+	// search.
+	live []Range
 	// ownBase/ownSize memoise the last positive Owner result. Live ranges
 	// are disjoint and an allocation cannot appear inside another live one,
-	// so the memo stays valid until a Free or Truncate shrinks the live set
-	// (both clear it); repeated lookups inside one allocation — the dominant
-	// pattern on the capability-derivation hot path — cost two compares.
+	// so the memo stays valid until a Free, a Truncate or a hybrid aliased
+	// re-commit shrinks the live set (all three clear it); repeated
+	// lookups inside one allocation — the dominant pattern on the
+	// capability-derivation hot path — cost two compares.
 	ownBase, ownSize uint64
 
 	// Statistics.
@@ -80,8 +81,29 @@ func New(a abi.ABI, base, size uint64) *Heap {
 		limit: base + size,
 		brk:   base,
 		free:  make(map[uint64][]uint64),
-		live:  make(map[uint64]uint64),
 	}
+}
+
+// search returns the index of the first live allocation whose base is
+// greater than addr; the allocation before it, if any, is the only one
+// that can contain addr.
+func (h *Heap) search(addr uint64) int {
+	lo, hi := 0, len(h.live)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.live[mid].Base <= addr {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// find returns the index of the live allocation based at addr.
+func (h *Heap) find(addr uint64) (int, bool) {
+	i := h.search(addr) - 1
+	return i, i >= 0 && h.live[i].Base == addr
 }
 
 // roundSize converts a requested size into the allocated size class:
@@ -133,18 +155,18 @@ func (h *Heap) commit(addr, size, rsize uint64) {
 	// A hybrid double free can leave the same address on a free list
 	// twice; the second pop then re-commits a block that is already live
 	// (the aliasing the fastbin-dup attack exploits). Keep the index and
-	// byte accounting single-entry in that case.
-	if _, aliased := h.live[addr]; !aliased {
-		i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] >= addr })
-		h.sorted = append(h.sorted, 0)
-		copy(h.sorted[i+1:], h.sorted[i:])
-		h.sorted[i] = addr
+	// byte accounting single-entry in that case. The re-commit can shrink
+	// a live block the Owner memo holds, so it drops the memo.
+	if i, aliased := h.find(addr); aliased {
+		h.live[i].Size = rsize
+		h.ownBase, h.ownSize = 0, 0
+	} else {
+		h.live = slices.Insert(h.live, i+1, Range{Base: addr, Size: rsize})
 		h.liveBytes += rsize
 		if h.liveBytes > h.peakLiveBytes {
 			h.peakLiveBytes = h.liveBytes
 		}
 	}
-	h.live[addr] = rsize
 	h.allocs++
 	h.requested += size
 	h.rounded += rsize
@@ -158,7 +180,7 @@ func (h *Heap) commit(addr, size, rsize uint64) {
 // like glibc's classic fastbin-dup — two later allocations of the size
 // class then alias the same memory.
 func (h *Heap) Free(addr uint64) error {
-	rsize, ok := h.live[addr]
+	i, ok := h.find(addr)
 	if !ok {
 		if !h.abi.PointersAreCapabilities() {
 			for size, fl := range h.free {
@@ -173,11 +195,9 @@ func (h *Heap) Free(addr uint64) error {
 		}
 		return fmt.Errorf("alloc: invalid free of %#x", addr)
 	}
-	delete(h.live, addr)
+	rsize := h.live[i].Size
+	h.live = slices.Delete(h.live, i, i+1)
 	h.ownBase, h.ownSize = 0, 0
-	if i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] >= addr }); i < len(h.sorted) && h.sorted[i] == addr {
-		h.sorted = append(h.sorted[:i], h.sorted[i+1:]...)
-	}
 	h.frees++
 	h.liveBytes -= rsize
 	if h.Quarantine {
@@ -208,17 +228,16 @@ func (h *Heap) DrainQuarantine() []Range {
 }
 
 // LiveCount returns the number of live allocations.
-func (h *Heap) LiveCount() int { return len(h.sorted) }
+func (h *Heap) LiveCount() int { return len(h.live) }
 
 // LiveRange returns the i-th live allocation in base-address order. It is
 // the fault injector's deterministic victim-selection primitive: picking an
 // index from a seeded RNG always lands on the same allocation.
 func (h *Heap) LiveRange(i int) Range {
-	if i < 0 || i >= len(h.sorted) {
+	if i < 0 || i >= len(h.live) {
 		return Range{}
 	}
-	base := h.sorted[i]
-	return Range{Base: base, Size: h.live[base]}
+	return h.live[i]
 }
 
 // Truncate shrinks the live allocation at base to newSize bytes (metadata
@@ -226,12 +245,12 @@ func (h *Heap) LiveRange(i int) Range {
 // the new size now fail their spatial check). newSize must be smaller than
 // the current size and positive; Truncate reports whether it applied.
 func (h *Heap) Truncate(base, newSize uint64) bool {
-	size, ok := h.live[base]
-	if !ok || newSize == 0 || newSize >= size {
+	i, ok := h.find(base)
+	if !ok || newSize == 0 || newSize >= h.live[i].Size {
 		return false
 	}
-	h.live[base] = newSize
-	h.liveBytes -= size - newSize
+	h.liveBytes -= h.live[i].Size - newSize
+	h.live[i].Size = newSize
 	h.ownBase, h.ownSize = 0, 0
 	return true
 }
@@ -239,30 +258,28 @@ func (h *Heap) Truncate(base, newSize uint64) bool {
 // SizeOf returns the usable size of the live allocation at addr, or false
 // if addr is not a live allocation base.
 func (h *Heap) SizeOf(addr uint64) (uint64, bool) {
-	s, ok := h.live[addr]
-	return s, ok
+	if i, ok := h.find(addr); ok {
+		return h.live[i].Size, true
+	}
+	return 0, false
 }
 
-// Owner returns the allocation base and size containing addr, using the
-// maintained sorted index (O(log n)). The machine uses it to derive
-// bounded capabilities for interior pointers and for spatial checks.
+// Owner returns the allocation base and size containing addr with one
+// binary search over the live ranges (O(log n)). The machine uses it to
+// derive bounded capabilities for interior pointers and for spatial
+// checks.
 func (h *Heap) Owner(addr uint64) (base, size uint64, ok bool) {
 	if addr-h.ownBase < h.ownSize {
 		return h.ownBase, h.ownSize, true
 	}
-	if s, o := h.live[addr]; o {
-		h.ownBase, h.ownSize = addr, s
-		return addr, s, true
-	}
-	i := sort.Search(len(h.sorted), func(i int) bool { return h.sorted[i] > addr })
-	if i == 0 {
+	i := h.search(addr) - 1
+	if i < 0 {
 		return 0, 0, false
 	}
-	b := h.sorted[i-1]
-	s := h.live[b]
-	if addr < b+s {
-		h.ownBase, h.ownSize = b, s
-		return b, s, true
+	r := h.live[i]
+	if addr-r.Base < r.Size {
+		h.ownBase, h.ownSize = r.Base, r.Size
+		return r.Base, r.Size, true
 	}
 	return 0, 0, false
 }

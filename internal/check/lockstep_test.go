@@ -97,7 +97,7 @@ func TestCacheLockstepScripts(t *testing.T) {
 	}
 }
 
-// TestTLBLockstepScripts drives the optimized TLB (memo + map index) against
+// TestTLBLockstepScripts drives the optimized TLB (memo + hash index) against
 // the linear-scan reference through memo-eviction and refill patterns.
 func TestTLBLockstepScripts(t *testing.T) {
 	page := func(n uint64) uint64 { return n << 12 }
@@ -301,16 +301,22 @@ func FuzzCacheLockstep(f *testing.F) {
 }
 
 // FuzzTLBLockstep feeds byte-script programs of lookups, inserts, and
-// flushes to an optimized TLB with the reference model in lockstep.
+// flushes to an optimized TLB with the reference model in lockstep. Bits
+// 4, 5 and 7 of a byte set VPN bits 20, 35 and 51, so pages that differ
+// only in high bits share hash buckets and chains are linked and unlinked
+// out of order.
 func FuzzTLBLockstep(f *testing.F) {
 	f.Add([]byte{0x01, 0x41, 0x42, 0x43, 0x44, 0x45, 0x01})
 	f.Add([]byte{0x47, 0x47, 0x07, 0xFF, 0x07})
+	f.Add([]byte{0x41, 0x51, 0x61, 0x71, 0xC1, 0x01, 0x11, 0x42, 0x52, 0x21, 0x31})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		col := check.NewCollector(nil)
 		tl := tlb.New(fuzzTLBCfg)
 		check.AttachTLB(col, tl)
 		for i, b := range script {
-			addr := uint64(b&0x0F) << 12 // 16 pages over 4 entries
+			// 16 low pages over 4 entries, each in 8 high-bit variants.
+			vpn := uint64(b&0x0F) | uint64(b>>4&1)<<20 | uint64(b>>5&1)<<35 | uint64(b>>7)<<51
+			addr := vpn << 12
 			switch {
 			case b == 0xFF:
 				tl.InvalidateAll()

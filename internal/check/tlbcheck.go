@@ -13,7 +13,7 @@ import (
 // the next insertion's full state compare); insertions and flushes are
 // compared on the complete entry array, and insertions additionally run
 // the optimized TLB's own structural invariant check, which is what pins
-// the map-index corruption class of bug to the exact insert that causes
+// the index-corruption class of bug to the exact insert that causes
 // it.
 type TLBChecker struct {
 	name string

@@ -44,6 +44,7 @@ func (m *Machine) dataPath(addr uint64, write bool) (hierLevel, uint64) {
 	if r1.Hit {
 		return levelL1, m.Cfg.L1D.HitLatency
 	}
+	m.attrDirty |= evBit(EvL1DRefill)
 	if r1.WriteBack {
 		m.l2Path(r1.WriteBackAddr, true)
 	}
@@ -59,6 +60,7 @@ func (m *Machine) l2Path(addr uint64, write bool) (hierLevel, uint64) {
 	if r2.Hit {
 		return levelL2, m.Cfg.L2.HitLatency
 	}
+	m.attrDirty |= evBit(EvL2DRefill)
 	if port := m.llcPort; port != nil {
 		// Topology-aware fabric (internal/soc): the port prices NoC hops
 		// plus slice-hit or DRAM latency; per-core read statistics stay on
@@ -75,6 +77,7 @@ func (m *Machine) l2Path(addr uint64, write bool) (hierLevel, uint64) {
 		}
 		if !write {
 			m.llcRdMiss++
+			m.attrDirty |= evBit(EvLLCMissRd)
 		}
 		return levelDRAM, lat
 	}
@@ -90,6 +93,7 @@ func (m *Machine) l2Path(addr uint64, write bool) (hierLevel, uint64) {
 	}
 	if !write {
 		m.llcRdMiss++
+		m.attrDirty |= evBit(EvLLCMissRd)
 	}
 	return levelDRAM, m.Cfg.DRAMLatency
 }
@@ -144,10 +148,13 @@ func (m *Machine) accountLoadStallCap(lvl hierLevel, lat uint64, dep Dependency,
 	case levelL1:
 		// L1 hits are pipelined; only a sliver of exposure remains.
 		m.beMemL1 += exposure * 0.15
+		m.attrDirty |= catBit(AttrL1Bound)
 	case levelL2:
 		m.beMemL2 += exposure
+		m.attrDirty |= catBit(AttrL2Bound)
 	default:
 		m.beMemExt += exposure
+		m.attrDirty |= catBit(AttrExtMemBound)
 	}
 }
 
@@ -163,6 +170,7 @@ func (m *Machine) translateD(addr uint64) {
 	}
 	if lat := m.DTLB.Translate(addr); lat > 0 {
 		m.beMemExt += float64(lat) * 0.8
+		m.attrDirty |= catBit(AttrExtMemBound) | evBit(EvDTLBWalk)
 	}
 }
 
@@ -202,12 +210,14 @@ func (m *Machine) fetchAdvance(nUops uint64) {
 			last = line
 			if lat := m.ITLB.Translate(line); lat > 0 {
 				m.feStall += float64(lat)
+				m.attrDirty |= catBit(AttrFrontend) | evBit(EvITLBWalk)
 			}
 			if r := m.L1I.Access(line, false); !r.Hit {
 				_, lat := m.l2Path(line, false)
 				// Fetch misses stall the frontend; decoupling hides a
 				// fraction.
 				m.feStall += float64(lat) * 0.7
+				m.attrDirty |= catBit(AttrFrontend) | evBit(EvL1IRefill)
 			}
 		}
 		n--
@@ -343,6 +353,7 @@ func (m *Machine) Store(p Ptr, val, size uint64) {
 	if lvl != levelL1 {
 		// Write-allocate fill time is mostly hidden by the store buffer.
 		m.beMemExt += float64(lat) * 0.15
+		m.attrDirty |= catBit(AttrExtMemBound)
 	}
 	if size > 8 {
 		size = 8
@@ -410,15 +421,16 @@ func (m *Machine) LoadPtr(p Ptr) Ptr {
 	m.C.Inc(pmu.MEM_ACCESS_RD)
 	m.C.Inc(pmu.CAP_MEM_ACCESS_RD)
 	m.C.Inc(pmu.MEM_ACCESS_RD_CTAG)
+	m.attrDirty |= evBit(EvCapMemRd)
 	m.translateD(addr)
 	lvl, lat := m.dataPath(addr, false)
 	m.Tracer.Record(trace.KindCapLoad, addr, 16, uint8(lvl))
 	m.accountLoadStallCap(lvl, lat, Dep, true)
-	enc, _, err := m.Mem.ReadCap(addr &^ (cap.Size - 1))
+	enc, tag, err := m.Mem.ReadCap(addr &^ (cap.Size - 1))
 	if err != nil {
 		m.fault("loadptr", addr, err)
 	}
-	c := cap.Decode(enc, m.Mem.TagAt(addr))
+	c := cap.Decode(enc, tag)
 	// A valid capability stripped of its load permission (CLRPERM, or an
 	// injected permission drop) cannot authorise the dereference this
 	// pointer exists for; surface the violation at the load. Untagged slots
@@ -464,12 +476,14 @@ func (m *Machine) StorePtr(p Ptr, target Ptr) {
 	m.C.Inc(pmu.MEM_ACCESS_WR)
 	m.C.Inc(pmu.CAP_MEM_ACCESS_WR)
 	m.C.Inc(pmu.MEM_ACCESS_WR_CTAG)
+	m.attrDirty |= evBit(EvCapMemWr)
 	m.translateD(addr)
 	lvl, _ := m.dataPath(addr, true)
 	m.Tracer.Record(trace.KindCapStore, addr, 16, uint8(lvl))
 	// 128-bit store through 64-bit-sized store buffers: extra occupancy
 	// surfaces as core-bound backend pressure (§2.2).
 	m.beCore += m.Cfg.CapStoreQueuePenalty
+	m.attrDirty |= catBit(AttrCoreBound)
 	c := m.deriveCap(uint64(target))
 	enc, tag := c.Encode()
 	if err := m.Mem.WriteCap(addr&^(cap.Size-1), enc, tag); err != nil {
@@ -509,12 +523,14 @@ func (m *Machine) CapCodegen(n uint64) {
 	}
 	m.uop(isa.DP, n)
 	m.beCore += float64(n) * 0.05
+	m.attrDirty |= catBit(AttrCoreBound)
 }
 
 // ALU executes n integer data-processing µops.
 func (m *Machine) ALU(n uint64) {
 	m.uop(isa.DP, n)
 	m.beCore += float64(n) * 0.05
+	m.attrDirty |= catBit(AttrCoreBound)
 }
 
 // CapManip executes n capability-manipulation µops (bounds setting, value
@@ -522,24 +538,28 @@ func (m *Machine) ALU(n uint64) {
 func (m *Machine) CapManip(n uint64) {
 	m.uop(isa.DP, n)
 	m.beCore += float64(n) * 0.08
+	m.attrDirty |= catBit(AttrCoreBound)
 }
 
 // FP executes n floating-point µops.
 func (m *Machine) FP(n uint64) {
 	m.uop(isa.VFP, n)
 	m.beCore += float64(n) * 0.18
+	m.attrDirty |= catBit(AttrCoreBound)
 }
 
 // SIMD executes n advanced-SIMD µops.
 func (m *Machine) SIMD(n uint64) {
 	m.uop(isa.ASE, n)
 	m.beCore += float64(n) * 0.12
+	m.attrDirty |= catBit(AttrCoreBound)
 }
 
 // Crypto executes n cryptographic-extension µops.
 func (m *Machine) Crypto(n uint64) {
 	m.uop(isa.Crypto, n)
 	m.beCore += float64(n) * 0.12
+	m.attrDirty |= catBit(AttrCoreBound)
 }
 
 // Branch executes a conditional direct branch with the given outcome. The
@@ -651,6 +671,7 @@ func (m *Machine) spill(addr uint64, write bool) {
 			m.C.Inc(pmu.CAP_MEM_ACCESS_WR)
 			m.C.Inc(pmu.MEM_ACCESS_WR_CTAG)
 			m.beCore += m.Cfg.CapStoreQueuePenalty
+			m.attrDirty |= catBit(AttrCoreBound) | evBit(EvCapMemWr)
 		} else {
 			m.uop(isa.StoreInt, 1)
 		}
@@ -663,6 +684,7 @@ func (m *Machine) spill(addr uint64, write bool) {
 		m.uop(isa.LoadCap, 1)
 		m.C.Inc(pmu.CAP_MEM_ACCESS_RD)
 		m.C.Inc(pmu.MEM_ACCESS_RD_CTAG)
+		m.attrDirty |= evBit(EvCapMemRd)
 	} else {
 		m.uop(isa.LoadInt, 1)
 	}
@@ -680,6 +702,7 @@ func (m *Machine) spill(addr uint64, write bool) {
 func (m *Machine) capJumpCost() {
 	if m.ABI.CapabilityJumps() && !m.Cfg.TracksPCCBounds {
 		m.pccStall += branch.CapJumpCost
+		m.attrDirty |= catBit(AttrPCC)
 	}
 }
 
@@ -698,8 +721,15 @@ func (m *Machine) accountBranch(out branch.Outcome) {
 		}
 		m.pccStall += pcc
 		stall -= pcc
+		m.attrDirty |= catBit(AttrPCC)
 	}
-	m.badSpec += stall
+	if stall != 0 {
+		m.badSpec += stall
+		m.attrDirty |= catBit(AttrBadSpec)
+	}
+	if out.Mispredict {
+		m.attrDirty |= evBit(EvBrMispredict)
+	}
 }
 
 // Alloc allocates size bytes from the simulated heap, charging the

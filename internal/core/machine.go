@@ -172,10 +172,12 @@ type Machine struct {
 	// Attribution snapshots: the category/event values at the previous
 	// attribute() call, so each µop charges only its delta (profile.go).
 	// lastRet tracks retiring in raw µop units; lastCat's retiring slot
-	// stays zero.
-	lastRet float64
-	lastCat [NumAttrCategories]float64
-	lastEv  [NumAttrEvents]uint64
+	// stays zero. attrDirty has a catBit/evBit set for every accumulator
+	// or event that moved since that call.
+	lastRet   float64
+	lastCat   [NumAttrCategories]float64
+	lastEv    [NumAttrEvents]uint64
+	attrDirty uint32
 
 	// owner cache for capability derivation on data accesses.
 	ownBase, ownSize uint64
@@ -329,7 +331,10 @@ func (m *Machine) ShareLLCPort(port LLCPort, coreID int) {
 // the machine — the SoC fabric's contention model bills queueing delay at
 // epoch barriers through this. It must be called before the machine
 // finalizes (the scheduler charges paused, unfinished cores only).
-func (m *Machine) AddExternalStall(cycles float64) { m.beMemExt += cycles }
+func (m *Machine) AddExternalStall(cycles float64) {
+	m.beMemExt += cycles
+	m.attrDirty |= catBit(AttrExtMemBound)
+}
 
 // SetQuantum arranges for fn to run every uops executed µops (the
 // multi-core scheduler's preemption hook).

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -91,6 +92,59 @@ func (e AttrEvent) String() string {
 // one.
 const AttrLayoutVersion = "attr/v1"
 
+// catBit and evBit are a category's and an event's bits in the machine's
+// attribution dirty mask (attrDirty): every site that moves a stall
+// accumulator or an attributed event count sets the matching bit, so
+// attribute() visits only what changed since the previous µop.
+func catBit(c AttrCategory) uint32 { return 1 << uint(c) }
+func evBit(e AttrEvent) uint32     { return 1 << (uint(NumAttrCategories) + uint(e)) }
+
+// stall returns the accumulator behind a non-retiring category.
+func (m *Machine) stall(c AttrCategory) float64 {
+	switch c {
+	case AttrFrontend:
+		return m.feStall
+	case AttrPCC:
+		return m.pccStall
+	case AttrBadSpec:
+		return m.badSpec
+	case AttrL1Bound:
+		return m.beMemL1
+	case AttrL2Bound:
+		return m.beMemL2
+	case AttrExtMemBound:
+		return m.beMemExt
+	case AttrCoreBound:
+		return m.beCore
+	}
+	return 0
+}
+
+// event returns the running count behind an attributed event.
+func (m *Machine) event(e AttrEvent) uint64 {
+	switch e {
+	case EvL1DRefill:
+		return m.L1D.Stats.Refills
+	case EvL2DRefill:
+		return m.L2.Stats.Refills
+	case EvLLCMissRd:
+		return m.llcRdMiss
+	case EvL1IRefill:
+		return m.L1I.Stats.Refills
+	case EvDTLBWalk:
+		return m.DTLB.Walks
+	case EvITLBWalk:
+		return m.ITLB.Walks
+	case EvBrMispredict:
+		return m.BP.Stats.Mispredicts
+	case EvCapMemRd:
+		return m.C.Get(pmu.CAP_MEM_ACCESS_RD)
+	case EvCapMemWr:
+		return m.C.Get(pmu.CAP_MEM_ACCESS_WR)
+	}
+	return 0
+}
+
 // attribute charges the per-category cycle-estimate deltas and the
 // per-event count deltas since the previous µop to the current function.
 // Called from uop(), so stall costs accrued by an operation land on the
@@ -109,45 +163,27 @@ func (m *Machine) attribute(n uint64) {
 	}
 	m.lastRet = ret
 
-	// Stalls and events change rarely (only on misses, walks, mispredicts
-	// and capability traffic): one array compare skips the delta loops on
-	// the common path. The retiring slot of both arrays stays zero.
-	stall := [NumAttrCategories]float64{
-		AttrFrontend:    m.feStall,
-		AttrPCC:         m.pccStall,
-		AttrBadSpec:     m.badSpec,
-		AttrL1Bound:     m.beMemL1,
-		AttrL2Bound:     m.beMemL2,
-		AttrExtMemBound: m.beMemExt,
-		AttrCoreBound:   m.beCore,
-	}
-	if stall != m.lastCat {
-		for i := AttrFrontend; i < NumAttrCategories; i++ {
-			if d := stall[i] - m.lastCat[i]; d != 0 && f != nil {
-				f.cat[i] += d
+	// Stalls and events change only where their sites set a dirty bit; the
+	// delta against the previous snapshot is taken for those alone.
+	for d := m.attrDirty; d != 0; d &= d - 1 {
+		b := uint(bits.TrailingZeros32(d))
+		if b < uint(NumAttrCategories) {
+			c := AttrCategory(b)
+			cur := m.stall(c)
+			if delta := cur - m.lastCat[c]; delta != 0 && f != nil {
+				f.cat[c] += delta
 			}
+			m.lastCat[c] = cur
+			continue
 		}
-		m.lastCat = stall
-	}
-	ev := [NumAttrEvents]uint64{
-		EvL1DRefill:    m.L1D.Stats.Refills,
-		EvL2DRefill:    m.L2.Stats.Refills,
-		EvLLCMissRd:    m.llcRdMiss,
-		EvL1IRefill:    m.L1I.Stats.Refills,
-		EvDTLBWalk:     m.DTLB.Walks,
-		EvITLBWalk:     m.ITLB.Walks,
-		EvBrMispredict: m.BP.Stats.Mispredicts,
-		EvCapMemRd:     m.C.Get(pmu.CAP_MEM_ACCESS_RD),
-		EvCapMemWr:     m.C.Get(pmu.CAP_MEM_ACCESS_WR),
-	}
-	if ev != m.lastEv {
-		for i := range ev {
-			if d := ev[i] - m.lastEv[i]; d != 0 && f != nil {
-				f.ev[i] += d
-			}
+		e := AttrEvent(b - uint(NumAttrCategories))
+		cur := m.event(e)
+		if delta := cur - m.lastEv[e]; delta != 0 && f != nil {
+			f.ev[e] += delta
 		}
-		m.lastEv = ev
+		m.lastEv[e] = cur
 	}
+	m.attrDirty = 0
 }
 
 // fnCycles is a function's attributed cycle total: the retiring charge
@@ -266,26 +302,12 @@ type AttributionProfile struct {
 // Call it after Run; the profile is empty if attribution was disabled.
 func (m *Machine) AttributionProfile() AttributionProfile {
 	var p AttributionProfile
-	p.Totals = [NumAttrCategories]float64{
-		AttrRetiring:    float64(m.classUops+uint64(m.auxUops)) / float64(m.Cfg.Width),
-		AttrFrontend:    m.feStall,
-		AttrPCC:         m.pccStall,
-		AttrBadSpec:     m.badSpec,
-		AttrL1Bound:     m.beMemL1,
-		AttrL2Bound:     m.beMemL2,
-		AttrExtMemBound: m.beMemExt,
-		AttrCoreBound:   m.beCore,
+	p.Totals[AttrRetiring] = float64(m.classUops+uint64(m.auxUops)) / float64(m.Cfg.Width)
+	for c := AttrFrontend; c < NumAttrCategories; c++ {
+		p.Totals[c] = m.stall(c)
 	}
-	p.TotalEvents = [NumAttrEvents]uint64{
-		EvL1DRefill:    m.L1D.Stats.Refills,
-		EvL2DRefill:    m.L2.Stats.Refills,
-		EvLLCMissRd:    m.llcRdMiss,
-		EvL1IRefill:    m.L1I.Stats.Refills,
-		EvDTLBWalk:     m.DTLB.Walks,
-		EvITLBWalk:     m.ITLB.Walks,
-		EvBrMispredict: m.BP.Stats.Mispredicts,
-		EvCapMemRd:     m.C.Get(pmu.CAP_MEM_ACCESS_RD),
-		EvCapMemWr:     m.C.Get(pmu.CAP_MEM_ACCESS_WR),
+	for e := range p.TotalEvents {
+		p.TotalEvents[e] = m.event(AttrEvent(e))
 	}
 	if m.profileOff {
 		return p

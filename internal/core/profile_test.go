@@ -109,3 +109,100 @@ func TestFormatProfile(t *testing.T) {
 		t.Errorf("share missing:\n%s", out)
 	}
 }
+
+// TestAttributionDirtyMaskComplete checks that every site which moves a
+// stall accumulator or an attributed event sets its dirty bit: right after
+// each attribute() call (the quantum hook runs next), the snapshots must
+// equal the live values, or a charge was left for a later µop — or a
+// later function — to pick up. The body reaches every charging site,
+// revocation sweeps, external (fabric) stalls and an external LLC port
+// included.
+func TestAttributionDirtyMaskComplete(t *testing.T) {
+	for _, a := range abi.All() {
+		for _, port := range []LLCPort{nil, missPort{}} {
+			checkDirtyMask(t, a, port)
+		}
+	}
+}
+
+// missPort is an external LLC fabric in which every access misses.
+type missPort struct{}
+
+func (missPort) Access(uint64, bool) (bool, uint64) { return false, 300 }
+
+func checkDirtyMask(t *testing.T, a abi.ABI, port LLCPort) {
+	cfg := DefaultConfig(a)
+	cfg.TemporalSafety = true
+	cfg.RevokeThresholdBytes = 4 << 10
+	m := NewMachine(cfg)
+	if port != nil {
+		m.ShareLLCPort(port, 1)
+	}
+	var missed []string
+	m.SetQuantum(1, func() {
+		for c := AttrFrontend; c < NumAttrCategories; c++ {
+			if m.stall(c) != m.lastCat[c] {
+				missed = append(missed, c.String())
+			}
+		}
+		for e := AttrEvent(0); e < NumAttrEvents; e++ {
+			if m.event(e) != m.lastEv[e] {
+				missed = append(missed, e.String())
+			}
+		}
+	})
+	m.Func("main", 4096, 64)
+	leaf := m.Func("leaf", 8192, 32)
+	err := m.Run(func(m *Machine) {
+		var live []Ptr
+		stream := m.Alloc(1 << 18)
+		for i := 0; i < 3000; i++ {
+			// A cold streaming line on an already-translated page:
+			// a DRAM-level load with no TLB walk beside it.
+			m.Load(stream+Ptr(i%(1<<12)*64), 8)
+			p := m.Alloc(uint64(64 + i%512))
+			m.Store(p, uint64(i), 8)
+			m.StorePtr(p+16, p)
+			live = append(live, p)
+			m.Call(leaf, i%3 == 0)
+			m.LoadDep(live[(i*7)%len(live)], 8)
+			m.LoadPtr(live[(i*13)%len(live)] + 16)
+			m.BranchAt(uint64(i%17), i%5 == 0)
+			m.FP(3)
+			m.SIMD(2)
+			m.Crypto(1)
+			m.CapManip(1)
+			m.CapCodegen(2)
+			m.Return()
+			m.CallVirtual(leaf)
+			m.ALU(2)
+			m.Return()
+			m.AddExternalStall(1.5)
+			if i%3 == 0 && len(live) > 8 {
+				m.Free(live[0])
+				live = live[1:]
+			}
+		}
+	})
+	if err != nil {
+		t.Fatalf("%s port=%v: %v", a, port, err)
+	}
+	if len(missed) > 0 {
+		t.Fatalf("%s port=%v: moved without a dirty bit: %v", a, port, missed)
+	}
+	if a == abi.Purecap {
+		if len(m.Revocations()) == 0 {
+			t.Fatal("purecap: no revocation sweep ran")
+		}
+		for c := AttrFrontend; c < NumAttrCategories; c++ {
+			if m.stall(c) == 0 {
+				t.Errorf("purecap: category %s never charged", c)
+			}
+		}
+		for e := AttrEvent(0); e < NumAttrEvents; e++ {
+			if m.event(e) == 0 {
+				t.Errorf("purecap: event %s never counted", e)
+			}
+		}
+	}
+}

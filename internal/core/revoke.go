@@ -68,6 +68,7 @@ func (m *Machine) Revoke() RevocationStats {
 		m.C.Inc(pmu.MEM_ACCESS_RD)
 		m.C.Inc(pmu.CAP_MEM_ACCESS_RD)
 		m.C.Inc(pmu.MEM_ACCESS_RD_CTAG)
+		m.attrDirty |= evBit(EvCapMemRd)
 		m.translateD(addr)
 		lvl, lat := m.dataPath(addr, false)
 		m.accountLoadStall(lvl, lat, Indep)
@@ -89,6 +90,7 @@ func (m *Machine) Revoke() RevocationStats {
 		m.C.Inc(pmu.MEM_ACCESS_WR)
 		m.C.Inc(pmu.CAP_MEM_ACCESS_WR)
 		m.C.Inc(pmu.MEM_ACCESS_WR_CTAG)
+		m.attrDirty |= evBit(EvCapMemWr)
 		m.dataPath(addr, true)
 		enc, _, _ := m.Mem.ReadCap(addr)
 		_ = m.Mem.WriteCap(addr, enc, false)

@@ -9,7 +9,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cherisim/internal/cap"
 )
@@ -25,16 +25,36 @@ type page struct {
 	tags [tagsPerPage]bool
 }
 
-// Memory is a sparse simulated physical memory. The zero value is not
-// usable; create one with New.
+// The page table is a three-level radix over the 35-bit page numbers of
+// the 47-bit simulated address space (every segment in core's layout sits
+// below 2^47): an 11-bit root embedded in Memory, then 12-bit mid and leaf
+// tables allocated on first touch. Page numbers at or above 2^35 live in
+// a small overflow map.
+const (
+	pageNumBits = 35
+	midBits     = 12
+	leafBits    = 12
+	rootBits    = pageNumBits - midBits - leafBits
+)
+
+type (
+	leafTable [1 << leafBits]*page
+	midTable  [1 << midBits]*leafTable
+)
+
+// Memory is a simulated physical memory whose pages are allocated on
+// first write. The zero value is not usable; create one with New.
 type Memory struct {
-	pages map[uint64]*page
+	root     [1 << rootBits]*midTable
+	overflow map[uint64]*page // page numbers >= 2^pageNumBits
+	npages   int
 
 	// lastPN/lastPage memoise the most recently touched resident page.
 	// Accesses overwhelmingly stay on one page across consecutive calls, and
-	// the memo turns those lookups into one compare instead of a map probe.
-	// Pages are never removed, so the memo can only go stale by pointing at
-	// a page that is still valid — it never fabricates residency.
+	// the memo turns those lookups into one compare instead of a radix
+	// walk. Pages are never removed, so the memo can only go stale by
+	// pointing at a page that is still valid — it never fabricates
+	// residency.
 	lastPN   uint64
 	lastPage *page
 
@@ -45,31 +65,94 @@ type Memory struct {
 }
 
 // New returns an empty memory.
-func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
-}
+func New() *Memory { return &Memory{} }
 
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr / PageSize
 	if m.lastPage != nil && m.lastPN == pn {
 		return m.lastPage
 	}
-	p := m.pages[pn]
-	if p == nil && create {
-		p = &page{}
-		m.pages[pn] = p
-	}
+	p := m.lookup(pn, create)
 	if p != nil {
 		m.lastPN, m.lastPage = pn, p
 	}
 	return p
 }
 
+// lookup returns page pn, allocating it (and the tables on its path) when
+// create is set; otherwise an absent page is nil.
+func (m *Memory) lookup(pn uint64, create bool) *page {
+	if pn >= 1<<pageNumBits {
+		p := m.overflow[pn]
+		if p == nil && create {
+			if m.overflow == nil {
+				m.overflow = make(map[uint64]*page)
+			}
+			p = new(page)
+			m.overflow[pn] = p
+			m.npages++
+		}
+		return p
+	}
+	mid := m.root[pn>>(midBits+leafBits)]
+	if mid == nil {
+		if !create {
+			return nil
+		}
+		mid = new(midTable)
+		m.root[pn>>(midBits+leafBits)] = mid
+	}
+	leaf := mid[pn>>leafBits&(1<<midBits-1)]
+	if leaf == nil {
+		if !create {
+			return nil
+		}
+		leaf = new(leafTable)
+		mid[pn>>leafBits&(1<<midBits-1)] = leaf
+	}
+	p := leaf[pn&(1<<leafBits-1)]
+	if p == nil && create {
+		p = new(page)
+		leaf[pn&(1<<leafBits-1)] = p
+		m.npages++
+	}
+	return p
+}
+
+// forEachPage invokes fn for every resident page in ascending page-number
+// order.
+func (m *Memory) forEachPage(fn func(pn uint64, p *page)) {
+	for i, mid := range m.root {
+		if mid == nil {
+			continue
+		}
+		for j, leaf := range mid {
+			if leaf == nil {
+				continue
+			}
+			base := uint64(i)<<(midBits+leafBits) | uint64(j)<<leafBits
+			for k, p := range leaf {
+				if p != nil {
+					fn(base|uint64(k), p)
+				}
+			}
+		}
+	}
+	pns := make([]uint64, 0, len(m.overflow))
+	for pn := range m.overflow {
+		pns = append(pns, pn)
+	}
+	slices.Sort(pns)
+	for _, pn := range pns {
+		fn(pn, m.overflow[pn])
+	}
+}
+
 // Populated returns the number of resident pages (footprint in pages).
-func (m *Memory) Populated() int { return len(m.pages) }
+func (m *Memory) Populated() int { return m.npages }
 
 // FootprintBytes returns the resident memory footprint in bytes.
-func (m *Memory) FootprintBytes() uint64 { return uint64(len(m.pages)) * PageSize }
+func (m *Memory) FootprintBytes() uint64 { return uint64(m.npages) * PageSize }
 
 // ReadBytes copies size bytes starting at addr into a fresh slice.
 // Unpopulated memory reads as zero.
@@ -163,45 +246,38 @@ func (m *Memory) clearTags(addr, size uint64) {
 }
 
 // WriteCap stores a 16-byte capability image at a 16-byte-aligned address,
-// setting or clearing the granule tag per the capability's validity.
+// setting or clearing the granule tag per the capability's validity. An
+// aligned image never straddles a page.
 func (m *Memory) WriteCap(addr uint64, e cap.Encoded, tag bool) error {
 	if addr%cap.Size != 0 {
 		return fmt.Errorf("mem: unaligned capability store at %#x", addr)
 	}
-	var buf [cap.Size]byte
-	binary.LittleEndian.PutUint64(buf[0:8], e.Addr)
-	binary.LittleEndian.PutUint64(buf[8:16], e.Meta)
-	size := uint64(cap.Size)
-	for i := uint64(0); i < size; {
-		p := m.pageFor(addr+i, true)
-		off := (addr + i) % PageSize
-		n := size - i
-		if n > PageSize-off {
-			n = PageSize - off
-		}
-		copy(p.data[off:off+n], buf[i:i+n])
-		i += n
-	}
-	p, idx := m.tagIndex(addr, true)
-	p.tags[idx] = tag
+	p, off := m.pageFor(addr, true), addr%PageSize
+	binary.LittleEndian.PutUint64(p.data[off:off+8], e.Addr)
+	binary.LittleEndian.PutUint64(p.data[off+8:off+cap.Size], e.Meta)
+	p.tags[off/cap.TagGranule] = tag
 	m.BytesWritten += cap.Size
 	return nil
 }
 
 // ReadCap loads a 16-byte capability image and its tag from a 16-byte-
-// aligned address.
+// aligned address, in place: unpopulated memory reads as an untagged
+// zero image.
 func (m *Memory) ReadCap(addr uint64) (cap.Encoded, bool, error) {
 	if addr%cap.Size != 0 {
 		return cap.Encoded{}, false, fmt.Errorf("mem: unaligned capability load at %#x", addr)
 	}
-	b := m.ReadBytes(addr, cap.Size)
-	e := cap.Encoded{
-		Addr: binary.LittleEndian.Uint64(b[0:8]),
-		Meta: binary.LittleEndian.Uint64(b[8:16]),
+	m.BytesRead += cap.Size
+	p := m.pageFor(addr, false)
+	if p == nil {
+		return cap.Encoded{}, false, nil
 	}
-	p, idx := m.tagIndex(addr, false)
-	tag := p != nil && p.tags[idx]
-	return e, tag, nil
+	off := addr % PageSize
+	e := cap.Encoded{
+		Addr: binary.LittleEndian.Uint64(p.data[off : off+8]),
+		Meta: binary.LittleEndian.Uint64(p.data[off+8 : off+cap.Size]),
+	}
+	return e, p.tags[off/cap.TagGranule], nil
 }
 
 // ClearTag invalidates the tag of the granule containing addr, leaving the
@@ -224,34 +300,27 @@ func (m *Memory) TagAt(addr uint64) bool {
 }
 
 // ForEachTaggedGranule invokes fn for every granule whose tag is set, in
-// unspecified page order (deterministic within a page). It is the
-// revocation sweeper's scan primitive.
+// ascending address order. It is the revocation sweeper's scan primitive;
+// fn must not write memory.
 func (m *Memory) ForEachTaggedGranule(fn func(addr uint64)) {
-	// Iterate pages in sorted order for determinism.
-	pns := make([]uint64, 0, len(m.pages))
-	for pn := range m.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		p := m.pages[pn]
+	m.forEachPage(func(pn uint64, p *page) {
 		for i, tagged := range p.tags {
 			if tagged {
 				fn(pn*PageSize + uint64(i)*cap.TagGranule)
 			}
 		}
-	}
+	})
 }
 
 // TaggedGranules counts set tags across memory (capability density probe,
 // used by revocation-sweep style analyses).
 func (m *Memory) TaggedGranules() (n uint64) {
-	for _, p := range m.pages {
+	m.forEachPage(func(_ uint64, p *page) {
 		for _, t := range p.tags {
 			if t {
 				n++
 			}
 		}
-	}
+	})
 	return n
 }

@@ -195,3 +195,28 @@ func TestClearTag(t *testing.T) {
 		t.Fatal("ClearTag reported success on untagged granule")
 	}
 }
+
+// TestReadCapAllocationFree pins the capability-load path to zero
+// allocations, resident and unpopulated granules alike, with each load
+// still counted as 16 bytes of read traffic.
+func TestReadCapAllocationFree(t *testing.T) {
+	m := New()
+	enc, tag := cap.New(0x4000, 64, cap.PermsData).Encode()
+	if err := m.WriteCap(0x4000, enc, tag); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, gotTag, err := m.ReadCap(0x4000); err != nil || got != enc || gotTag != tag {
+			t.Fatalf("ReadCap = %+v, %v, %v", got, gotTag, err)
+		}
+		if _, gotTag, _ := m.ReadCap(0x9000_0000); gotTag {
+			t.Fatal("unpopulated granule tagged")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ReadCap allocates %v times per run", allocs)
+	}
+	if want := uint64(101 * 2 * cap.Size); m.BytesRead != want {
+		t.Fatalf("BytesRead = %d, want %d", m.BytesRead, want)
+	}
+}

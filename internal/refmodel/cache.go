@@ -1,9 +1,10 @@
 // Package refmodel holds deliberately naive, obviously-correct reference
 // implementations of the simulator's microarchitectural models: a
 // set-associative cache with no MRU fast path and a two-pass victim scan,
-// a fully-associative TLB with plain linear lookup (no map index, no
-// last-translation memo), and CHERI Concentrate bounds compression in
-// big-integer arithmetic so 2^64-boundary cases are exact.
+// a fully-associative TLB with plain linear lookup (no hash index, no
+// last-translation memo), CHERI Concentrate bounds compression in
+// big-integer arithmetic so 2^64-boundary cases are exact, a linear-scan
+// heap ownership index, and a byte-map tagged memory.
 //
 // The implementations trade every optimization for legibility: division
 // and modulo instead of shift-and-mask, separate full passes instead of

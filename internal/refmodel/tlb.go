@@ -3,7 +3,7 @@ package refmodel
 import "cherisim/internal/tlb"
 
 // TLB is the reference translation cache: fully associative with LRU
-// replacement, looked up by a plain linear scan over every entry — no map
+// replacement, looked up by a plain linear scan over every entry — no hash
 // index, no last-translation memo. It works in VPN space directly, which
 // is what the tlb.Shadow interface reports.
 type TLB struct {

@@ -4,7 +4,10 @@
 // DTLB_WALK PMU events the paper analyses in §4.7.
 package tlb
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one TLB level.
 type Config struct {
@@ -62,20 +65,26 @@ type EntryState struct {
 
 // TLB is one translation-cache level, fully associative with LRU
 // replacement (adequate at these sizes and matches N1 behaviour closely).
-// A map index keeps lookups O(1); the LRU victim scan runs only on
-// insertion after a miss.
+// A hash index over the VPNs keeps lookups O(1); it is only a lookup
+// structure and plays no part in which entry is replaced.
 //
-// A one-entry last-translation memo (lastVPN/lastSlot) fronts the map:
+// A one-entry last-translation memo (lastVPN/lastSlot) fronts the index:
 // workload access streams overwhelmingly stay on one page across
 // consecutive references, and the memo turns those lookups into two
-// compares instead of a map probe. The memo is a verified hint — the slot
-// is re-checked against valid+vpn, so eviction can never fabricate a hit —
-// and its accounting (access count, LRU touch) is identical to the slow
-// path's.
+// compares instead of a hash-chain walk. The memo is a verified hint — the
+// slot is re-checked against valid+vpn, so eviction can never fabricate a
+// hit — and its accounting (access count, LRU touch) is identical to the
+// slow path's.
 type TLB struct {
-	cfg      Config
-	entries  []entry
-	index    map[uint64]int // vpn -> entry slot
+	cfg     Config
+	entries []entry
+	// buckets and chain are the VPN index: buckets[t.bucket(vpn)] is the
+	// first slot of that bucket's chain and chain[slot] the next, -1
+	// ending it. Exactly the valid entries are chained; shift turns the
+	// multiplicative hash into a bucket number.
+	buckets  []int32
+	chain    []int32
+	shift    uint
 	seq      uint64
 	lastVPN  uint64
 	lastSlot int // -1 when the memo is empty
@@ -94,17 +103,53 @@ type TLB struct {
 
 // New builds a TLB from its configuration.
 func New(cfg Config) *TLB {
+	// Twice as many buckets as entries, rounded up to a power of two,
+	// keeps chains to one or two slots.
+	nb := 1
+	for nb < 2*cfg.Entries {
+		nb <<= 1
+	}
 	t := &TLB{
 		cfg:      cfg,
 		entries:  make([]entry, cfg.Entries),
-		index:    make(map[uint64]int, cfg.Entries),
+		buckets:  make([]int32, nb),
+		chain:    make([]int32, cfg.Entries),
+		shift:    uint(64 - bits.TrailingZeros(uint(nb))),
 		lastSlot: -1,
 		prev:     make([]int32, cfg.Entries),
 		next:     make([]int32, cfg.Entries),
 		head:     -1,
 		tail:     -1,
 	}
+	for i := range t.buckets {
+		t.buckets[i] = -1
+	}
 	return t
+}
+
+// bucket hashes vpn (Fibonacci hashing: the product's top bits depend on
+// every VPN bit).
+func (t *TLB) bucket(vpn uint64) int {
+	return int(vpn * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// find returns the slot holding vpn, or -1.
+func (t *TLB) find(vpn uint64) int {
+	for i := t.buckets[t.bucket(vpn)]; i >= 0; i = t.chain[i] {
+		if t.entries[i].vpn == vpn {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// unlink removes slot i, which holds vpn, from its bucket chain.
+func (t *TLB) unlink(i int, vpn uint64) {
+	p := &t.buckets[t.bucket(vpn)]
+	for int(*p) != i {
+		p = &t.chain[*p]
+	}
+	*p = t.chain[i]
 }
 
 // touch moves slot i to the head of the recency list (the equivalent of
@@ -177,7 +222,7 @@ func (t *TLB) Lookup(addr uint64) bool {
 	}
 	t.Stats.Accesses++
 	t.seq++
-	if i, ok := t.index[vpn]; ok && t.entries[i].valid && t.entries[i].vpn == vpn {
+	if i := t.find(vpn); i >= 0 {
 		t.entries[i].lru = t.seq
 		t.touch(i)
 		t.lastVPN, t.lastSlot = vpn, i
@@ -195,14 +240,13 @@ func (t *TLB) Lookup(addr uint64) bool {
 
 // Insert installs a translation for addr's page. Inserting a page that is
 // already resident refreshes its entry in place (LRU touch), keeping the
-// map index and the entry array consistent: allocating a second slot for
-// the same VPN would leave two valid entries for one page, and evicting
-// the stale one later would delete the index key the live entry depends
-// on, turning every subsequent lookup of that page into a spurious miss.
+// index and the entry array consistent: allocating a second slot for the
+// same VPN would leave two valid entries for one page, one of them
+// shadowed in its chain.
 func (t *TLB) Insert(addr uint64) {
 	vpn := addr >> t.cfg.PageLog
 	t.seq++
-	if i, ok := t.index[vpn]; ok && t.entries[i].valid && t.entries[i].vpn == vpn {
+	if i := t.find(vpn); i >= 0 {
 		t.entries[i].lru = t.seq
 		t.touch(i)
 		t.lastVPN, t.lastSlot = vpn, i
@@ -224,10 +268,12 @@ func (t *TLB) Insert(addr uint64) {
 		t.touch(victim)
 	}
 	if v := &t.entries[victim]; v.valid {
-		delete(t.index, v.vpn)
+		t.unlink(victim, v.vpn)
 	}
 	t.entries[victim] = entry{vpn: vpn, valid: true, lru: t.seq}
-	t.index[vpn] = victim
+	b := t.bucket(vpn)
+	t.chain[victim] = t.buckets[b]
+	t.buckets[b] = int32(victim)
 	t.lastVPN, t.lastSlot = vpn, victim
 	if t.shadow != nil {
 		t.shadow.Insert(vpn)
@@ -239,7 +285,9 @@ func (t *TLB) InvalidateAll() {
 	for i := range t.entries {
 		t.entries[i] = entry{}
 	}
-	t.index = make(map[uint64]int, t.cfg.Entries)
+	for i := range t.buckets {
+		t.buckets[i] = -1
+	}
 	t.lastSlot = -1
 	t.head, t.tail = -1, -1
 	t.nextFree = 0
@@ -273,11 +321,24 @@ func (t *TLB) AppendEntryState(dst []EntryState) []EntryState {
 }
 
 // CheckInvariants verifies the internal consistency the fast paths rely
-// on: every valid entry is indexed at its own slot, every index key points
-// at a valid entry holding that VPN, and no VPN occupies two slots. It
+// on: every valid entry is indexed at its own slot, every chained slot is
+// a valid entry in its VPN's bucket, and no VPN occupies two slots. It
 // exists for tests and the lockstep checker; the zero-allocation hot paths
 // never call it.
 func (t *TLB) CheckInvariants() error {
+	// Walk the chains first, bounded, so a cycle is reported rather than
+	// hanging the lookups below.
+	chained := 0
+	for b, i := range t.buckets {
+		for ; i >= 0; i = t.chain[i] {
+			if int(i) >= len(t.entries) || !t.entries[i].valid || t.bucket(t.entries[i].vpn) != b {
+				return fmt.Errorf("tlb %s: bucket %d chains stale slot %d", t.cfg.Name, b, i)
+			}
+			if chained++; chained > len(t.entries) {
+				return fmt.Errorf("tlb %s: index chain cycle", t.cfg.Name)
+			}
+		}
+	}
 	seen := make(map[uint64]int, len(t.entries))
 	for i := range t.entries {
 		e := &t.entries[i]
@@ -288,18 +349,16 @@ func (t *TLB) CheckInvariants() error {
 			return fmt.Errorf("tlb %s: vpn %#x valid in slots %d and %d", t.cfg.Name, e.vpn, j, i)
 		}
 		seen[e.vpn] = i
-		j, ok := t.index[e.vpn]
-		if !ok {
+		j := t.find(e.vpn)
+		if j < 0 {
 			return fmt.Errorf("tlb %s: valid vpn %#x in slot %d missing from index", t.cfg.Name, e.vpn, i)
 		}
 		if j != i {
 			return fmt.Errorf("tlb %s: vpn %#x valid in slot %d but indexed at %d", t.cfg.Name, e.vpn, i, j)
 		}
 	}
-	for vpn, i := range t.index {
-		if i < 0 || i >= len(t.entries) || !t.entries[i].valid || t.entries[i].vpn != vpn {
-			return fmt.Errorf("tlb %s: index maps vpn %#x to stale slot %d", t.cfg.Name, vpn, i)
-		}
+	if chained != len(seen) {
+		return fmt.Errorf("tlb %s: index chains %d slots, %d valid", t.cfg.Name, chained, len(seen))
 	}
 	// The recency list must cover exactly the valid entries in strictly
 	// descending lru order: its tail is Insert's O(1) victim, so a mis-
